@@ -1,38 +1,20 @@
-//! Vectorized mapped folds: the state-column update loops of §3.3 routed
-//! through the `hsa-kernels` fold primitives.
+//! Mapped folds: the state-column update loops of §3.3.
 //!
 //! The key pass leaves a mapping vector (row → slot); each state column is
-//! then folded in its own tight loop. [`fold_column`] is that loop with
-//! kernel dispatch: scalar reference, prefetch-pipelined, or AVX2
-//! gather/SIMD — all bit-identical, chosen per run by the driver.
+//! then folded in its own tight loop. [`fold_column`] is that loop.
 
 use crate::StateOp;
-use hsa_kernels::{fold_mapped, FoldOp, KernelKind};
 
-/// The kernel-level operation corresponding to a [`StateOp`].
+/// Fold `vals` into `col` through `mapping` with `op`. `aggregated`
+/// selects apply vs merge semantics exactly like [`StateOp::combine`]:
+/// raw rows are applied, partial aggregates merged.
 #[inline]
-pub fn fold_op(op: StateOp) -> FoldOp {
-    match op {
-        StateOp::Count => FoldOp::Count,
-        StateOp::Sum => FoldOp::Sum,
-        StateOp::Min => FoldOp::Min,
-        StateOp::Max => FoldOp::Max,
+pub fn fold_column(op: StateOp, aggregated: bool, col: &mut [u64], mapping: &[u32], vals: &[u64]) {
+    debug_assert!(vals.len() >= mapping.len(), "fewer values than mapped rows");
+    for (&slot, &v) in mapping.iter().zip(vals) {
+        let s = &mut col[slot as usize];
+        *s = op.combine(*s, v, aggregated);
     }
-}
-
-/// Fold `vals` into `col` through `mapping` with `op`, using the kernel
-/// tier `kind`. `aggregated` selects apply vs merge semantics exactly like
-/// [`StateOp::combine`]: raw rows are applied, partial aggregates merged.
-#[inline]
-pub fn fold_column(
-    kind: KernelKind,
-    op: StateOp,
-    aggregated: bool,
-    col: &mut [u64],
-    mapping: &[u32],
-    vals: &[u64],
-) {
-    fold_mapped(kind, fold_op(op), aggregated, col, mapping, vals);
 }
 
 #[cfg(test)]
@@ -40,34 +22,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_column_agrees_with_state_op_semantics() {
-        let ops = [StateOp::Count, StateOp::Sum, StateOp::Min, StateOp::Max];
-        let mut s = 0x1234_5678_9ABC_DEF1u64;
-        let mut rng = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for kind in hsa_kernels::available_kinds() {
-            for &op in &ops {
-                for aggregated in [false, true] {
-                    let slots = 64usize;
-                    let rows = 500usize;
-                    let base: Vec<u64> = (0..slots as u64).map(|i| i * 7 + 1).collect();
-                    let mapping: Vec<u32> =
-                        (0..rows).map(|_| (rng() % slots as u64) as u32).collect();
-                    let vals: Vec<u64> = (0..rows).map(|_| rng()).collect();
-                    let mut got = base.clone();
-                    fold_column(kind, op, aggregated, &mut got, &mapping, &vals);
-                    let mut want = base;
-                    for (&slot, &v) in mapping.iter().zip(&vals) {
-                        let s = &mut want[slot as usize];
-                        *s = op.combine(*s, v, aggregated);
-                    }
-                    assert_eq!(got, want, "{kind:?} {op:?} aggregated={aggregated}");
-                }
-            }
-        }
+    fn fold_column_extreme_values() {
+        // Wrapping sum.
+        let mut col = vec![u64::MAX];
+        fold_column(StateOp::Sum, false, &mut col, &[0, 0], &[1, 1]);
+        assert_eq!(col[0], 1);
+        // Unsigned min/max across the sign boundary.
+        let mut col = vec![1u64 << 63];
+        fold_column(StateOp::Min, false, &mut col, &[0], &[u64::MAX]);
+        assert_eq!(col[0], 1 << 63);
+        let mut col = vec![1u64 << 63];
+        fold_column(StateOp::Max, false, &mut col, &[0], &[u64::MAX]);
+        assert_eq!(col[0], u64::MAX);
+        // Count apply ignores the value; merge adds it.
+        let mut col = vec![10u64, 20];
+        fold_column(StateOp::Count, false, &mut col, &[1, 1], &[999, 999]);
+        assert_eq!(col, [10, 22]);
+        let mut col = vec![10u64];
+        fold_column(StateOp::Count, true, &mut col, &[0], &[32]);
+        assert_eq!(col[0], 42);
     }
 }

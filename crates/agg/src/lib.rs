@@ -21,7 +21,7 @@ mod fold;
 mod ops;
 mod planning;
 
-pub use fold::{fold_column, fold_op};
+pub use fold::fold_column;
 pub use ops::StateOp;
 pub use planning::{plan, AggSpec, Finalizer, PhysicalCol, Plan};
 

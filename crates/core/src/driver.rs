@@ -38,7 +38,6 @@ use hsa_columnar::{RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
-use hsa_kernels::KernelKind;
 use hsa_obs::{Counter, Phase, ProgressGauge, Recorder, Tracer};
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{PoolMetrics, Scope};
@@ -131,9 +130,6 @@ pub(crate) struct Ctx {
     /// Live progress cells read by the `--progress` sampler thread
     /// (disabled unless a sampler is running).
     pub(crate) gauge: ProgressGauge,
-    /// Kernel tier resolved once per invocation from `cfg.kernel` (and the
-    /// `HSA_KERNEL` override), clamped to what the CPU supports.
-    pub(crate) kind: KernelKind,
     /// Run store the budget degrades into: spills to `env.spill_dir` when
     /// configured, otherwise memory-only (denials stay denials).
     pub(crate) store: RunStore,
@@ -261,7 +257,6 @@ pub(crate) fn process_view(
                 sink,
                 ctx.gate(),
                 obs,
-                ctx.kind,
             )? {
                 HashOutcome::Done => return Ok(()),
                 HashOutcome::Switched { next_row } => row = next_row,
@@ -711,7 +706,6 @@ mod tests {
             strategy,
             fill_percent: 25,
             morsel_rows: 1 << 12,
-            kernel: hsa_kernels::KernelPref::Auto,
         }
     }
 

@@ -21,7 +21,6 @@ use hsa_columnar::{ChunkedVec, Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::{Hasher64, Murmur2};
 use hsa_hashtbl::{AggTable, Insert};
-use hsa_kernels::KernelKind;
 use hsa_obs::{Counter, Hist, Phase};
 
 /// Outcome of hashing (part of) a run.
@@ -146,13 +145,11 @@ pub(crate) fn hash_run(
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
-    kind: KernelKind,
 ) -> Result<HashOutcome, AggError> {
     let hasher = Murmur2::default();
     let aggregated = view.aggregated();
     let n = view.len();
     let level = table.level();
-    let batched = kind != KernelKind::Scalar;
     let mut row = from_row;
 
     // One phase span covers the whole call, not each aligned block: deep
@@ -172,18 +169,7 @@ pub(crate) fn hash_run(
 
         mapping.clear();
         let mut table_full = false;
-        let consumed;
-        if batched {
-            // Batched key pass: hash a block of keys up front, prefetch
-            // their home slots, then resolve probes with the SIMD scan.
-            let b = if ops.is_empty() {
-                table.insert_batch_distinct(hasher, keys, kind)
-            } else {
-                table.insert_batch(hasher, keys, kind, mapping)
-            };
-            consumed = b.consumed;
-            table_full = b.full;
-        } else if ops.is_empty() {
+        let consumed = if ops.is_empty() {
             // DISTINCT fast path: no state columns, no mapping needed.
             let mut done = 0usize;
             for &key in keys {
@@ -195,7 +181,7 @@ pub(crate) fn hash_run(
                     }
                 }
             }
-            consumed = done;
+            done
         } else {
             for &key in keys {
                 match table.insert_key(key, hasher.hash_u64(key)) {
@@ -206,27 +192,20 @@ pub(crate) fn hash_run(
                     }
                 }
             }
-            consumed = mapping.len();
-        }
+            mapping.len()
+        };
 
         // Fold the block's values into the state columns, one column at a
-        // time (tight loops; the mapping is cache resident). The kernel
-        // tiers are bit-identical; `Scalar` is the reference loop.
+        // time (tight loops; the mapping is cache resident).
         for (i, &op) in ops.iter().enumerate() {
             let vals = &view.col_tail(i, row)[..consumed];
             let col = table.col_mut(i);
-            hsa_agg::fold_column(kind, op, aggregated, col, mapping, vals);
+            hsa_agg::fold_column(op, aggregated, col, mapping, vals);
         }
 
         *epoch_rows += consumed as u64;
         gate.stats.add_hash_rows(level, consumed as u64);
-        gate.stats.add_kernel_rows(batched, consumed as u64);
         obs.recorder.add(obs.worker, Counter::HashRows, consumed as u64);
-        obs.recorder.add(
-            obs.worker,
-            if batched { Counter::KernelBatchedRows } else { Counter::KernelScalarRows },
-            consumed as u64,
-        );
         row += consumed;
         // rows_out accumulates the *new* groups: summed per level this
         // yields the level's observed reduction factor α = rows_in/rows_out.
@@ -313,7 +292,6 @@ mod tests {
             &mut sink,
             open_gate!(&stats),
             &Obs::disabled(),
-            hsa_kernels::select(Default::default()),
         )
         .unwrap();
         assert_eq!(out, HashOutcome::Done);
@@ -404,7 +382,6 @@ mod tests {
                 &mut sink,
                 open_gate!(&stats),
                 &Obs::disabled(),
-                hsa_kernels::select(Default::default()),
             )
             .unwrap();
             assert_eq!(out, HashOutcome::Done);
@@ -447,7 +424,6 @@ mod tests {
             &mut sink,
             open_gate!(&stats),
             &Obs::disabled(),
-            hsa_kernels::select(Default::default()),
         )
         .unwrap()
         {
@@ -488,14 +464,7 @@ mod tests {
         let h = Murmur2::default();
         for key in [7u64, 8, 9] {
             if let Insert::New(slot) | Insert::Hit(slot) = t.insert_key(key, h.hash_u64(key)) {
-                hsa_agg::fold_column(
-                    KernelKind::Scalar,
-                    StateOp::Sum,
-                    false,
-                    t.col_mut(0),
-                    &[slot],
-                    &[key * 10],
-                );
+                hsa_agg::fold_column(StateOp::Sum, false, t.col_mut(0), &[slot], &[key * 10]);
             }
         }
         let budget = MemoryBudget::limited(1);

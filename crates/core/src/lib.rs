@@ -63,7 +63,6 @@ pub use driver::{
     try_aggregate_observed, try_distinct, try_distinct_observed, try_merge_partials,
 };
 pub use exec::ExecEnv;
-pub use hsa_kernels::{KernelKind, KernelPref};
 
 pub use hsa_columnar::{RunHandle, RunStore, SpillCodec, SpillConfig, SpilledRun};
 pub use hsa_fault::{
@@ -95,11 +94,6 @@ pub struct AggregateConfig {
     /// Rows per level-0 morsel — the work-stealing granule of the main
     /// loop (§3.2).
     pub morsel_rows: usize,
-    /// Kernel tier preference for the hot loops (`HASHING` probe and fold).
-    /// [`KernelPref::Auto`] picks the best ISA the CPU supports; forcing
-    /// [`KernelPref::Scalar`] runs the row-at-a-time reference loops. The
-    /// `HSA_KERNEL` environment variable overrides this at selection time.
-    pub kernel: KernelPref,
 }
 
 impl Default for AggregateConfig {
@@ -110,7 +104,6 @@ impl Default for AggregateConfig {
             strategy: Strategy::Adaptive(AdaptiveParams::default()),
             fill_percent: TableConfig::PAPER_FILL_PERCENT,
             morsel_rows: 1 << 16,
-            kernel: KernelPref::Auto,
         }
     }
 }

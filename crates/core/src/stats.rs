@@ -19,8 +19,6 @@ pub(crate) struct AtomicStats {
     budget_downgrades: AtomicU64,
     cancellations: AtomicU64,
     contained_panics: AtomicU64,
-    kernel_batched_rows: AtomicU64,
-    kernel_scalar_rows: AtomicU64,
     spilled_runs: [AtomicU64; MAX_LEVEL as usize + 1],
     spilled_bytes: AtomicU64,
     restored_runs: AtomicU64,
@@ -72,14 +70,6 @@ impl AtomicStats {
         self.contained_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_kernel_rows(&self, batched: bool, rows: u64) {
-        if batched {
-            self.kernel_batched_rows.fetch_add(rows, Ordering::Relaxed);
-        } else {
-            self.kernel_scalar_rows.fetch_add(rows, Ordering::Relaxed);
-        }
-    }
-
     pub(crate) fn count_spilled_run(&self, level: u32, bytes: u64) {
         self.spilled_runs[(level as usize).min(MAX_LEVEL as usize)].fetch_add(1, Ordering::Relaxed);
         self.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -104,8 +94,6 @@ impl AtomicStats {
             budget_downgrades: self.budget_downgrades.load(Ordering::Relaxed),
             cancellations: self.cancellations.load(Ordering::Relaxed),
             contained_panics: self.contained_panics.load(Ordering::Relaxed),
-            kernel_batched_rows: self.kernel_batched_rows.load(Ordering::Relaxed),
-            kernel_scalar_rows: self.kernel_scalar_rows.load(Ordering::Relaxed),
             spilled_runs_per_level: take(&self.spilled_runs),
             spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
             restored_runs: self.restored_runs.load(Ordering::Relaxed),
@@ -159,12 +147,6 @@ pub struct OpStats {
     /// Worker panics contained by the task scope (the operator returned
     /// `AggError::WorkerPanic` instead of unwinding the caller).
     pub contained_panics: u64,
-    /// Rows whose `HASHING` hot loops ran through the batched
-    /// (prefetch-pipelined / SIMD) kernels.
-    pub kernel_batched_rows: u64,
-    /// Rows whose `HASHING` hot loops ran through the scalar reference
-    /// kernels.
-    pub kernel_scalar_rows: u64,
     /// Runs flushed to the spill store, per recursion level (a denied
     /// reservation downgraded to out-of-core storage instead of failing).
     pub spilled_runs_per_level: Vec<u64>,
@@ -252,8 +234,6 @@ impl OpStats {
         self.budget_downgrades += other.budget_downgrades;
         self.cancellations += other.cancellations;
         self.contained_panics += other.contained_panics;
-        self.kernel_batched_rows += other.kernel_batched_rows;
-        self.kernel_scalar_rows += other.kernel_scalar_rows;
         self.spilled_bytes += other.spilled_bytes;
         self.restored_runs += other.restored_runs;
         self.restored_bytes += other.restored_bytes;
@@ -291,8 +271,6 @@ mod tests {
         a.count_budget_downgrade();
         a.count_cancellation();
         a.count_contained_panic();
-        a.add_kernel_rows(true, 80);
-        a.add_kernel_rows(false, 20);
         a.count_spilled_run(2, 4096);
         a.count_restored_run(4096);
         let s = a.snapshot();
@@ -307,8 +285,6 @@ mod tests {
         assert_eq!(s.budget_downgrades, 1);
         assert_eq!(s.cancellations, 1);
         assert_eq!(s.contained_panics, 1);
-        assert_eq!(s.kernel_batched_rows, 80);
-        assert_eq!(s.kernel_scalar_rows, 20);
         assert_eq!(s.spilled_runs_per_level[2], 1);
         assert_eq!(s.spilled_runs(), 1);
         assert_eq!(s.spilled_bytes, 4096);

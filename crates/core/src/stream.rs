@@ -126,7 +126,6 @@ impl AggStream {
         } else {
             env.cancel.clone()
         };
-        let kind = hsa_kernels::select(cfg.kernel);
         let store = store_for(env)?;
         // One admission per stream: every scope this query runs — all
         // pushes and the finish recursion — shares the same QueryId on
@@ -165,7 +164,6 @@ impl AggStream {
                 Tracer::disabled()
             },
             gauge,
-            kind,
             store,
             failed: Mutex::new(None),
         };
@@ -353,7 +351,6 @@ impl AggStream {
         let disk_denials = ctx.env.disk.denials();
         let store_io = ctx.store.io_stats().unwrap_or_default();
 
-        let kind = ctx.kind;
         let Ctx { collector, stats, recorder, tracer, .. } = ctx;
         let out_t0 = Instant::now();
         let output = collector.into_output(lowered);
@@ -405,7 +402,6 @@ impl AggStream {
             rows_in,
             groups_out: output.n_groups() as u64,
             threads,
-            kernel: kind.label().to_string(),
             wall_nanos,
             stats,
             pool,
@@ -441,7 +437,6 @@ mod tests {
             strategy: Strategy::Adaptive(AdaptiveParams::default()),
             fill_percent: 25,
             morsel_rows: 1 << 12,
-            kernel: hsa_kernels::KernelPref::Auto,
         }
     }
 

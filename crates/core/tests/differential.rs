@@ -157,74 +157,6 @@ fn saturated_keys_hit_the_table_floor() {
     }
 }
 
-/// The kernel tiers must be bit-identical: the same workload run with the
-/// forced-scalar reference loops and with every batched/SIMD tier must
-/// produce the same groups, the same state bits, and (single-threaded, so
-/// scheduling is deterministic) the same row/seal/switch statistics.
-#[test]
-fn kernel_tiers_are_bit_identical() {
-    use hsa_core::KernelPref;
-    let mut rng = Rng(0xC0FFEE);
-    for round in 0..12 {
-        let rows = [0, 1, 100, 4096, 20_000][(round % 5) as usize];
-        let shape = rng.below(5);
-        let keys = key_column(&mut rng, shape, rows);
-        let v0: Vec<u64> = (0..rows).map(|_| rng.below(1 << 32)).collect();
-        let v1: Vec<u64> = (0..rows).map(|_| rng.next()).collect();
-        let mut cfg = config(&mut rng);
-        cfg.threads = 1;
-
-        let run = |pref: KernelPref| {
-            let mut cfg = cfg.clone();
-            cfg.kernel = pref;
-            let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(1), AggSpec::max(1)];
-            let (out, stats) =
-                try_aggregate(&keys, &[&v0, &v1], &specs, &cfg, &ExecEnv::unrestricted())
-                    .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
-            (out.sorted_rows(), stats)
-        };
-
-        let (scalar_rows, scalar_stats) = run(KernelPref::Scalar);
-        if hsa_kernels::select(KernelPref::Scalar) == hsa_core::KernelKind::Scalar {
-            assert_eq!(
-                scalar_stats.kernel_batched_rows, 0,
-                "forced scalar must not take the batched path"
-            );
-        }
-        for pref in [KernelPref::Auto, KernelPref::Sse2, KernelPref::Avx2] {
-            let (rows, stats) = run(pref);
-            assert_eq!(rows, scalar_rows, "{pref:?} output diverged under {cfg:?}");
-            assert_eq!(
-                stats.hash_rows_per_level, scalar_stats.hash_rows_per_level,
-                "{pref:?} hash rows diverged under {cfg:?}"
-            );
-            assert_eq!(
-                stats.part_rows_per_level, scalar_stats.part_rows_per_level,
-                "{pref:?} part rows diverged under {cfg:?}"
-            );
-            assert_eq!(stats.seals, scalar_stats.seals, "{pref:?} seals diverged under {cfg:?}");
-            assert_eq!(
-                stats.switches_to_partitioning, scalar_stats.switches_to_partitioning,
-                "{pref:?} switches diverged under {cfg:?}"
-            );
-            // `select` folds in what the preference actually resolves to —
-            // the CPU clamp on non-x86_64 targets and the `HSA_KERNEL`
-            // override CI uses to force the scalar tier suite-wide.
-            if hsa_kernels::select(pref) == hsa_core::KernelKind::Scalar {
-                assert_eq!(
-                    stats.kernel_batched_rows, 0,
-                    "{pref:?} resolved to scalar yet took the batched path"
-                );
-            } else {
-                assert_eq!(
-                    stats.kernel_scalar_rows, 0,
-                    "{pref:?} must not take the scalar path on a batched run"
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn distinct_matches_a_set() {
     use std::collections::BTreeSet;

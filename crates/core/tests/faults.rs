@@ -15,8 +15,8 @@
 
 use hsa_agg::AggSpec;
 use hsa_core::{
-    try_aggregate, AggError, AggregateConfig, CancelReason, CancelToken, ExecEnv, FaultInjector,
-    FaultPlan, GroupByOutput, MemoryBudget, Strategy,
+    try_aggregate, AggError, AggregateConfig, CancelReason, CancelToken, DiskBudget, ExecEnv,
+    FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, Strategy,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -266,6 +266,28 @@ fn spill_dir_turns_exhaustion_into_success() {
     assert_matches_reference(&out, &keys, &vals);
     let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
     assert_eq!(leftover, 0, "scratch files must be deleted after the run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run that spills with no disk cap still reports its peak on-disk
+/// footprint: the unlimited disk budget counts what it grants.
+#[test]
+fn uncapped_spill_reports_its_disk_high_water() {
+    let dir = std::env::temp_dir().join(format!("hsa-fault-spill-hw-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys: Vec<u64> = (0..30_000u64).map(|i| (i.wrapping_mul(2654435761)) % 10_000).collect();
+    let vals: Vec<u64> = (0..30_000u64).collect();
+    let budget = MemoryBudget::limited(1 << 20);
+    let disk = DiskBudget::unlimited();
+    let env = spill_env(&budget, &dir).with_disk_budget(disk.clone());
+    let (out, stats) = try_aggregate(&keys, &[&vals], &specs(), &config(), &env)
+        .expect("spill-enabled run under a tight budget");
+    assert!(stats.spilled_runs() > 0, "budget never forced a spill: {stats:?}");
+    assert!(stats.disk_high_water_bytes > 0, "uncapped spill reported no disk peak: {stats:?}");
+    assert_eq!(stats.disk_high_water_bytes, disk.high_water());
+    assert_eq!(disk.outstanding(), 0, "every spill reservation was released");
+    assert_eq!(stats.disk_budget_denials, 0);
+    assert_matches_reference(&out, &keys, &vals);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

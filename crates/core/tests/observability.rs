@@ -18,7 +18,6 @@ fn adaptive_cfg() -> AggregateConfig {
         strategy: Strategy::Adaptive(AdaptiveParams::default()),
         fill_percent: 25,
         morsel_rows: 1 << 12,
-        ..AggregateConfig::default()
     }
 }
 

@@ -11,10 +11,11 @@ use crate::error::AggError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DiskInner {
-    /// Hard limit in bytes.
-    limit: u64,
+    /// Hard limit in bytes; `None` grants every reservation but still
+    /// counts it, so the peak footprint is known either way.
+    limit: Option<u64>,
     /// Bytes currently reserved.
     reserved: AtomicU64,
     /// Reservations denied over the budget's lifetime.
@@ -23,8 +24,9 @@ struct DiskInner {
     high_water: AtomicU64,
 }
 
-/// A shared spill-disk budget. Cloning shares the account; the unlimited
-/// budget is a `None` and costs a null check per spill.
+/// A shared spill-disk budget. Cloning shares the account. An unlimited
+/// budget never denies, but keeps the same account, so `outstanding()` and
+/// `high_water()` report the real footprint of an uncapped spill too.
 ///
 /// Accounting covers the exact on-disk size of each spill file (the
 /// writer computes it up front), so `outstanding()` is the live spill
@@ -33,80 +35,70 @@ struct DiskInner {
 /// runs are dropped, on every path including errors.
 #[derive(Clone, Default)]
 pub struct DiskBudget {
-    inner: Option<Arc<DiskInner>>,
+    inner: Arc<DiskInner>,
 }
 
 impl DiskBudget {
-    /// No limit; all accounting is skipped.
+    /// No limit: every reservation is granted (and still counted).
     pub fn unlimited() -> Self {
-        Self { inner: None }
+        Self::default()
     }
 
     /// A budget of `limit_bytes` of spill space shared by all clones.
     pub fn limited(limit_bytes: u64) -> Self {
-        Self {
-            inner: Some(Arc::new(DiskInner {
-                limit: limit_bytes,
-                reserved: AtomicU64::new(0),
-                denials: AtomicU64::new(0),
-                high_water: AtomicU64::new(0),
-            })),
-        }
+        Self { inner: Arc::new(DiskInner { limit: Some(limit_bytes), ..DiskInner::default() }) }
     }
 
     /// Whether this budget enforces a limit.
     pub fn is_limited(&self) -> bool {
-        self.inner.is_some()
+        self.inner.limit.is_some()
     }
 
     /// The limit in bytes (`None` when unlimited).
     pub fn limit(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.limit)
+        self.inner.limit
     }
 
-    /// Bytes currently reserved (0 when unlimited). Balanced back to its
-    /// pre-invocation value once every spilled run is dropped; the chaos
-    /// suite asserts it.
+    /// Bytes currently reserved. Balanced back to its pre-invocation value
+    /// once every spilled run is dropped; the chaos suite asserts it.
     pub fn outstanding(&self) -> u64 {
         // ORDERING: Acquire; site: balance; pairs-with: reserved.rmw —
         // a balance observed after an operator returns reflects every
         // reservation that operator made and dropped.
-        self.inner.as_ref().map_or(0, |i| i.reserved.load(Ordering::Acquire))
+        self.inner.reserved.load(Ordering::Acquire)
     }
 
-    /// Highest concurrently reserved byte count this budget ever saw
-    /// (0 when unlimited). Monotonic: the peak on-disk spill footprint.
+    /// Highest concurrently reserved byte count this budget ever saw.
+    /// Monotonic: the peak on-disk spill footprint.
     pub fn high_water(&self) -> u64 {
         // ORDERING: Relaxed — a monotonic statistic read after the fact;
         // no other memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.high_water.load(Ordering::Relaxed))
+        self.inner.high_water.load(Ordering::Relaxed)
     }
 
-    /// Reservations denied so far (0 when unlimited).
+    /// Reservations denied so far (always 0 when unlimited).
     pub fn denials(&self) -> u64 {
         // ORDERING: Relaxed — a monotonic statistics counter; no other
         // memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.denials.load(Ordering::Relaxed))
+        self.inner.denials.load(Ordering::Relaxed)
     }
 
     /// Reserve `bytes` of spill space, failing with
     /// [`AggError::DiskBudgetExceeded`] if the limit would be crossed.
     /// The returned [`DiskReservation`] releases the bytes when dropped.
     pub fn try_reserve(&self, bytes: u64) -> Result<DiskReservation, AggError> {
-        let Some(inner) = &self.inner else {
-            return Ok(DiskReservation { budget: None, bytes: AtomicU64::new(bytes) });
-        };
+        let inner = &self.inner;
         // ORDERING: Relaxed — only a hint seeding the CAS loop; the
         // compare_exchange below revalidates against the real value.
         let mut current = inner.reserved.load(Ordering::Relaxed);
         loop {
             let new = current.saturating_add(bytes);
-            if new > inner.limit {
+            if let Some(limit) = inner.limit.filter(|&limit| new > limit) {
                 // ORDERING: Relaxed — statistics counter (see `denials`).
                 inner.denials.fetch_add(1, Ordering::Relaxed);
                 return Err(AggError::DiskBudgetExceeded {
                     requested: bytes,
-                    limit: inner.limit,
+                    limit,
                     reserved: current,
                 });
             }
@@ -149,15 +141,11 @@ impl DiskBudget {
 
 impl std::fmt::Debug for DiskBudget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "DiskBudget::unlimited"),
-            Some(i) => f
-                .debug_struct("DiskBudget")
-                .field("limit", &i.limit)
-                // ORDERING: Relaxed — debug snapshot, no synchronization.
-                .field("reserved", &i.reserved.load(Ordering::Relaxed))
-                .finish(),
-        }
+        f.debug_struct("DiskBudget")
+            .field("limit", &self.inner.limit)
+            // ORDERING: Relaxed — debug snapshot, no synchronization.
+            .field("reserved", &self.inner.reserved.load(Ordering::Relaxed))
+            .finish()
     }
 }
 
@@ -235,8 +223,14 @@ mod tests {
         assert!(!b.is_limited());
         let r = b.try_reserve(u64::MAX).unwrap();
         assert_eq!(r.bytes(), u64::MAX);
+        // Uncapped, but still counted: the peak is the real footprint.
+        assert_eq!(b.outstanding(), u64::MAX);
+        assert_eq!(b.high_water(), u64::MAX);
+        drop(r);
         assert_eq!(b.outstanding(), 0);
-        assert_eq!(b.high_water(), 0);
+        assert_eq!(b.high_water(), u64::MAX);
+        assert_eq!(b.denials(), 0);
+        assert_eq!(b.limit(), None);
     }
 
     #[test]
@@ -271,10 +265,15 @@ mod tests {
         drop(r);
         assert_eq!(b.outstanding(), 0, "drop releases only the remainder");
         assert_eq!(b.high_water(), 80, "the peak saw the nominal reservation");
-        // Unlimited reservations shrink without accounting.
-        let r = DiskBudget::unlimited().try_reserve(64).unwrap();
+        // Unlimited reservations shrink with the same accounting.
+        let b = DiskBudget::unlimited();
+        let r = b.try_reserve(64).unwrap();
         r.shrink_to(8);
         assert_eq!(r.bytes(), 8);
+        assert_eq!(b.outstanding(), 8);
+        drop(r);
+        assert_eq!(b.outstanding(), 0);
+        assert_eq!(b.high_water(), 64);
     }
 
     #[test]

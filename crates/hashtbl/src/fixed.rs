@@ -24,8 +24,7 @@
 //! displacement) **sorted by hash value**, which is the paper's point:
 //! the fastest way to build a hash table is a sorting algorithm.
 
-use hsa_hash::{digit, remaining_bits, Hasher64, FANOUT};
-use hsa_kernels::{prefetch_read, probe_scan, KernelKind, BATCH};
+use hsa_hash::{digit, remaining_bits, FANOUT};
 use hsa_obs::Histogram;
 
 /// Probe-behavior metrics of one [`AggTable`], collected only when enabled
@@ -107,16 +106,6 @@ impl TableConfig {
     pub fn mem_bytes(&self, n_state_cols: usize) -> u64 {
         (self.total_slots * 8 * (1 + n_state_cols) + self.total_slots / 8) as u64
     }
-}
-
-/// Outcome of one [`AggTable::insert_batch`] call.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BatchInsert {
-    /// Keys absorbed from the front of the batch (new or hit).
-    pub consumed: usize,
-    /// True when key `consumed` hit a full table (fill limit or block
-    /// overflow) and was *not* inserted — seal and retry from there.
-    pub full: bool,
 }
 
 /// Outcome of [`AggTable::insert_key`].
@@ -295,170 +284,6 @@ impl AggTable {
         }
         // Block overflow: astronomically unlikely below the fill limit with
         // a good hash, but adversarial inputs can do it — treat as full.
-        Insert::Full
-    }
-
-    /// Batched [`Self::insert_key`] over a slice of keys, recording the
-    /// resolved slot of every absorbed key into `mapping` (the §3.3
-    /// mapping vector). Keys are hashed [`BATCH`] at a time; the home
-    /// cache lines (key array and occupancy word) of the whole batch are
-    /// prefetched before the first probe resolves, so the probes' cache
-    /// misses overlap instead of serializing. Outcomes, slot assignments,
-    /// and probe metrics are bit-identical to the scalar loop — `kind`
-    /// only selects how the probe scan compares keys.
-    #[inline]
-    pub fn insert_batch<H: Hasher64>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        kind: KernelKind,
-        mapping: &mut Vec<u32>,
-    ) -> BatchInsert {
-        self.batch_impl::<H, true>(hasher, keys, kind, mapping)
-    }
-
-    /// [`Self::insert_batch`] without slot recording — the DISTINCT fast
-    /// path, which needs no mapping vector.
-    #[inline]
-    pub fn insert_batch_distinct<H: Hasher64>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        kind: KernelKind,
-    ) -> BatchInsert {
-        let mut unused = Vec::new();
-        self.batch_impl::<H, false>(hasher, keys, kind, &mut unused)
-    }
-
-    fn batch_impl<H: Hasher64, const RECORD: bool>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        kind: KernelKind,
-        mapping: &mut Vec<u32>,
-    ) -> BatchInsert {
-        let n = keys.len();
-        // Rolling [`BATCH`]-deep pipeline: key `i + BATCH` is hashed and
-        // its home lines prefetched while key `i` resolves, so every
-        // probe's loads get a full window of probe work to arrive in. The
-        // ring holds the already-computed home slots. The occupancy word
-        // is prefetched too — at large table sizes the bitmap itself
-        // falls out of cache.
-        let mut ring = [0usize; BATCH];
-        for (r, &key) in ring.iter_mut().zip(&keys[..n.min(BATCH)]) {
-            let home = self.home_slot(hasher.hash_u64(key));
-            *r = home;
-            prefetch_read(&self.keys, home);
-            prefetch_read(&self.occ, home >> 6);
-        }
-        for i in 0..n {
-            let home = ring[i & (BATCH - 1)];
-            if let Some(&key) = keys.get(i + BATCH) {
-                let ahead = self.home_slot(hasher.hash_u64(key));
-                ring[i & (BATCH - 1)] = ahead;
-                prefetch_read(&self.keys, ahead);
-                prefetch_read(&self.occ, ahead >> 6);
-            }
-            match self.probe_resolve(keys[i], home, kind) {
-                Insert::New(slot) | Insert::Hit(slot) => {
-                    if RECORD {
-                        mapping.push(slot);
-                    }
-                }
-                Insert::Full => return BatchInsert { consumed: i, full: true },
-            }
-        }
-        BatchInsert { consumed: n, full: false }
-    }
-
-    /// Occupancy bits of slots `start..start + n` (`n` ≤ 64), bit `i` ⇔
-    /// slot `start + i`.
-    #[inline(always)]
-    fn occ_bits(&self, start: usize, n: usize) -> u64 {
-        let w = start >> 6;
-        let b = start & 63;
-        let mut bits = self.occ[w] >> b;
-        if b != 0 {
-            // The bitmap is over-allocated by one word, so `w + 1` is in
-            // bounds for every valid slot range.
-            bits |= self.occ[w + 1] << (64 - b);
-        }
-        if n < 64 {
-            bits &= (1u64 << n) - 1;
-        }
-        bits
-    }
-
-    /// One probe resolved via [`probe_scan`]: same semantics as the walk
-    /// in [`Self::insert_key`], including the capacity check, the probe
-    /// order (home → block end, wrap to block base), the metrics, and the
-    /// block-overflow `Full`.
-    #[inline]
-    fn probe_resolve(&mut self, key: u64, home: usize, kind: KernelKind) -> Insert {
-        if self.len >= self.capacity {
-            return Insert::Full;
-        }
-        // Fast path: at 25% fill almost every probe ends at the home slot
-        // (which the pipeline prefetched), so resolve it with the walk's
-        // two cheap checks before setting up any scan state.
-        if !self.is_occupied(home) {
-            self.keys[home] = key;
-            self.set_occupied(home);
-            self.len += 1;
-            if let Some(m) = &mut self.metrics {
-                m.record(0, true);
-            }
-            return Insert::New(home as u32);
-        }
-        if self.keys[home] == key {
-            if let Some(m) = &mut self.metrics {
-                m.record(0, false);
-            }
-            return Insert::Hit(home as u32);
-        }
-        self.probe_collision(key, home, kind)
-    }
-
-    /// The collision continuation of [`Self::probe_resolve`], kept out of
-    /// line so the hot fast path inlines into the batch loop. Scans the
-    /// rest of the block with [`probe_scan`], one cache line of keys at a
-    /// time, in exactly the walk's order: home → block end, wrap to block
-    /// base.
-    #[inline(never)]
-    fn probe_collision(&mut self, key: u64, home: usize, kind: KernelKind) -> Insert {
-        let block_base = home & !(self.block_slots - 1);
-        let block_end = block_base + self.block_slots;
-        let segments = [(home + 1, block_end, 1), (block_base, home, block_end - home)];
-        for (start, end, step_base) in segments {
-            let mut s = start;
-            while s < end {
-                // Scan one cache line of keys at a time (8 slots, aligned
-                // upward): the probe almost always ends in the home line
-                // (25% fill), so wider scans would only add memory
-                // traffic the scalar walk never incurs.
-                let n = (((s | 7) + 1).min(end)) - s;
-                let occ = self.occ_bits(s, n);
-                match probe_scan(kind, &self.keys[s..s + n], occ, key) {
-                    Some((i, true)) => {
-                        if let Some(m) = &mut self.metrics {
-                            m.record((step_base + (s - start) + i) as u64, false);
-                        }
-                        return Insert::Hit((s + i) as u32);
-                    }
-                    Some((i, false)) => {
-                        let slot = s + i;
-                        self.keys[slot] = key;
-                        self.set_occupied(slot);
-                        self.len += 1;
-                        if let Some(m) = &mut self.metrics {
-                            m.record((step_base + (s - start) + i) as u64, true);
-                        }
-                        return Insert::New(slot as u32);
-                    }
-                    None => s += n,
-                }
-            }
-        }
         Insert::Full
     }
 
@@ -761,158 +586,6 @@ mod tests {
             }
         });
         assert_eq!(got, reference);
-    }
-
-    /// Adversarial hasher: every key maps to the same hash, so probes
-    /// chain through one block and overflow it.
-    #[derive(Copy, Clone, Default)]
-    struct ZeroHash;
-    impl Hasher64 for ZeroHash {
-        fn hash_u64(&self, _key: u64) -> u64 {
-            0
-        }
-
-        fn hash_bytes(&self, _bytes: &[u8]) -> u64 {
-            0
-        }
-    }
-
-    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
-        let mut s = seed | 1;
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        }
-    }
-
-    /// Drive the scalar `insert_key` loop, mirroring what `insert_batch`
-    /// reports: (outcomes-as-batch, mapping, metrics).
-    fn scalar_drive<H: Hasher64>(
-        t: &mut AggTable,
-        hasher: H,
-        keys: &[u64],
-    ) -> (BatchInsert, Vec<u32>) {
-        let mut mapping = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match t.insert_key(key, hasher.hash_u64(key)) {
-                Insert::New(s) | Insert::Hit(s) => mapping.push(s),
-                Insert::Full => return (BatchInsert { consumed: i, full: true }, mapping),
-            }
-        }
-        (BatchInsert { consumed: keys.len(), full: false }, mapping)
-    }
-
-    fn sealed_contents(t: &mut AggTable) -> Vec<(usize, Vec<u64>)> {
-        let mut out = Vec::new();
-        t.seal(|d, keys, _| out.push((d, keys.to_vec())));
-        out
-    }
-
-    #[test]
-    fn insert_batch_matches_insert_key_on_random_workloads() {
-        let h = Murmur2::default();
-        for kind in hsa_kernels::available_kinds() {
-            let mut r = xorshift(0xBADC0DE ^ kind as u64);
-            for round in 0..20 {
-                let slots = [2 * FANOUT, 1 << 10, 1 << 12][round % 3];
-                let fill = [25usize, 50, 100][(round / 3) % 3];
-                let level = (round % 8) as u32;
-                let cfg = TableConfig { total_slots: slots, fill_percent: fill };
-                let n = (r() % 4000) as usize;
-                let keys: Vec<u64> = (0..n)
-                    .map(|_| match r() % 4 {
-                        0 => u64::MAX - r() % 3, // saturated keys
-                        1 => r() % 16,           // heavy duplication
-                        _ => r() % 1000,
-                    })
-                    .collect();
-                let mut a = AggTable::new(cfg, level, &[]);
-                let mut b = AggTable::new(cfg, level, &[]);
-                a.set_metrics_enabled(true);
-                b.set_metrics_enabled(true);
-                let (out_a, map_a) = scalar_drive(&mut a, h, &keys);
-                let mut map_b = Vec::new();
-                let out_b = b.insert_batch(h, &keys, kind, &mut map_b);
-                assert_eq!(out_a, out_b, "{kind:?} round {round} outcomes");
-                assert_eq!(map_a, map_b, "{kind:?} round {round} mapping");
-                assert_eq!(a.len(), b.len(), "{kind:?} round {round} len");
-                assert_eq!(
-                    a.take_metrics(),
-                    b.take_metrics(),
-                    "{kind:?} round {round} metrics drifted between scalar and batched probing"
-                );
-                assert_eq!(
-                    sealed_contents(&mut a),
-                    sealed_contents(&mut b),
-                    "{kind:?} round {round} sealed runs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn insert_batch_block_overflow_matches_scalar() {
-        // ZeroHash funnels everything into block 0: the block overflows
-        // while the table is nearly empty, in both paths at the same key.
-        let cfg = TableConfig { total_slots: FANOUT * 8, fill_percent: 100 };
-        for kind in hsa_kernels::available_kinds() {
-            let keys: Vec<u64> = (0..40).collect();
-            let mut a = AggTable::new(cfg, 0, &[]);
-            let mut b = AggTable::new(cfg, 0, &[]);
-            let (out_a, map_a) = scalar_drive(&mut a, ZeroHash, &keys);
-            let mut map_b = Vec::new();
-            let out_b = b.insert_batch(ZeroHash, &keys, kind, &mut map_b);
-            assert_eq!(out_a, out_b, "{kind:?}");
-            assert!(out_b.full, "{kind:?}: 40 distinct keys must overflow an 8-slot block");
-            assert_eq!(out_b.consumed, 8, "{kind:?}");
-            assert_eq!(map_a, map_b, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn insert_batch_distinct_matches_mapped_variant() {
-        let h = Murmur2::default();
-        let mut r = xorshift(77);
-        let keys: Vec<u64> = (0..3000).map(|_| r() % 500).collect();
-        for kind in hsa_kernels::available_kinds() {
-            let mut a = AggTable::new(small(), 2, &[]);
-            let mut b = AggTable::new(small(), 2, &[]);
-            let mut mapping = Vec::new();
-            let out_a = a.insert_batch(h, &keys, kind, &mut mapping);
-            let out_b = b.insert_batch_distinct(h, &keys, kind);
-            assert_eq!(out_a, out_b, "{kind:?}");
-            assert_eq!(mapping.len(), out_a.consumed, "{kind:?}");
-            assert_eq!(sealed_contents(&mut a), sealed_contents(&mut b), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn insert_batch_resumes_after_seal() {
-        // The framework's retry loop: on `full`, seal and continue from
-        // `consumed`. The union of sealed + final contents must equal the
-        // scalar single-table reference aggregation.
-        use std::collections::BTreeSet;
-        let h = Murmur2::default();
-        let cfg = TableConfig { total_slots: 2 * FANOUT, fill_percent: 25 };
-        for kind in hsa_kernels::available_kinds() {
-            let keys: Vec<u64> = (0..2000u64).collect();
-            let mut t = AggTable::new(cfg, 0, &[]);
-            let mut seen: BTreeSet<u64> = BTreeSet::new();
-            let mut from = 0;
-            while from < keys.len() {
-                let out = t.insert_batch_distinct(h, &keys[from..], kind);
-                from += out.consumed;
-                if out.full {
-                    t.seal(|_, ks, _| seen.extend(ks.iter().copied()));
-                } else {
-                    break;
-                }
-            }
-            t.seal(|_, ks, _| seen.extend(ks.iter().copied()));
-            assert_eq!(seen.len(), 2000, "{kind:?}");
-        }
     }
 
     #[test]

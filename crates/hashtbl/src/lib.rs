@@ -22,7 +22,7 @@
 mod fixed;
 mod grow;
 
-pub use fixed::{AggTable, BatchInsert, Insert, TableConfig, TableMetrics};
+pub use fixed::{AggTable, Insert, TableConfig, TableMetrics};
 pub use grow::GrowTable;
 
 /// Identity element such that `op.apply(identity, v) == op.init(v)` and

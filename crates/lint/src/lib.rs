@@ -18,8 +18,8 @@
 //!    debt cannot grow, new code returns errors.
 //! 4. **deps** — every dependency in every manifest is an `hsa-*`
 //!    path/workspace reference (the std-only contract).
-//! 5. **cold-path** — the documented out-of-line collision paths in
-//!    `hashtbl` keep their `#[inline(never)]` / `#[cold]` markers.
+//! 5. **cold-path** — the documented out-of-line cold paths in `hashtbl`
+//!    keep their `#[cold]` markers.
 //!
 //! v2 (DESIGN §17) layers cross-file *protocol* checks on the same
 //! scanner — the per-site presence checks above say an annotation exists;

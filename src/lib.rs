@@ -47,10 +47,9 @@ pub use hsa_core::{
     try_aggregate_observed, try_distinct, try_distinct_observed, try_merge_partials,
     AdaptiveParams, AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome,
     AdmissionRequest, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
-    DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, KernelKind, KernelPref,
-    MemoryBudget, ObsConfig, OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport,
-    RunStore, SpillCodec, SpillConfig, SpillFault, SpillFaultKind, SpilledRun, Strategy,
-    REPORT_VERSION,
+    DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, ObsConfig,
+    OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport, RunStore, SpillCodec,
+    SpillConfig, SpillFault, SpillFaultKind, SpilledRun, Strategy, REPORT_VERSION,
 };
 pub use query::{AggValues, Query, QueryResult};
 
@@ -82,10 +81,6 @@ pub mod kernels {
         digit, Fnv1a, Hasher64, Identity, Multiplicative, Murmur2, Murmur3Finalizer, FANOUT,
     };
     pub use hsa_hashtbl::{identity_of, AggTable, GrowTable, Insert, TableConfig};
-    pub use hsa_kernels::{
-        available_kinds, detect_best, fold_mapped, prefetch_read, prefetch_write, probe_scan,
-        select, FoldOp, KernelKind, KernelPref, BATCH, FOLD_PREFETCH_AHEAD,
-    };
     pub use hsa_partition::{
         memcpy_nt, partition_keys, partition_keys_mapped, partition_naive, partition_overalloc,
         partition_swc, partition_swc_with_mode, partition_unrolled, partition_unrolled_with_mode,
