@@ -18,15 +18,18 @@ mod load;
 mod serve;
 
 pub use args::{parse_args, CliArgs, UsageError, USAGE};
-pub use csv::{parse_csv, CsvError};
+pub use csv::{parse_csv, CsvError, CsvRecords};
 pub use error::{CliError, ErrorClass};
 pub use load::{load_table, LoadedTable};
 pub use serve::{parse_serve_args, serve, serve_on, ServeArgs, SERVE_USAGE};
 
+use hashing_is_sorting::obs::fmt_nanos;
 use hashing_is_sorting::{
-    CancelToken, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, Query, RunReport, SpillConfig,
+    CancelToken, Dictionary, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, Query, RunReport,
+    SpillConfig,
 };
-use std::time::Duration;
+use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 /// Everything one CLI invocation produced: the rendered result table plus
 /// the run report behind `--stats` / `--stats-json` / `--trace`.
@@ -45,8 +48,14 @@ pub struct CliRun {
 /// Failures come back as a [`CliError`] whose class decides the process
 /// exit code (budget 2, timeout 3, I/O 4, invalid input 5).
 pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
+    let start = Instant::now();
     let rows = parse_csv(text).map_err(CliError::invalid)?;
+    let parsed = Instant::now();
     let loaded = load_table(&rows).map_err(CliError::invalid)?;
+    // The columns hold everything the query needs: free the field arena
+    // before the operator allocates.
+    drop(rows);
+    let loaded_at = Instant::now();
 
     for name in args.all_column_refs() {
         if loaded.table.column(name).is_none() {
@@ -108,21 +117,48 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
         None => q.try_run(),
     }?;
 
-    let group_names = args.group_by.clone();
-    let mut out =
-        result.format_table(|col_ix, v| match loaded.dictionary_of(&group_names[col_ix]) {
-            Some(dict) => dict.decode_str(v).unwrap_or("<?>").to_string(),
-            None => v.to_string(),
-        });
+    let queried = Instant::now();
+
+    let dicts: Vec<Option<&Dictionary>> =
+        args.group_by.iter().map(|g| loaded.dictionary_of(g)).collect();
+    let mut out = String::new();
+    result.write_table(&mut out, |c, v, buf| match dicts[c] {
+        Some(dict) => buf.push_str(dict.decode_str(v).unwrap_or("<?>")),
+        None => {
+            let _ = write!(buf, "{v}");
+        }
+    });
+    let emitted = Instant::now();
     if args.show_stats {
         out.push('\n');
         out.push_str(&result.report.pretty());
     }
     if args.explain {
+        let stages = [
+            ("parse", parsed - start),
+            ("load", loaded_at - parsed),
+            ("query", queried - loaded_at),
+            ("emit", emitted - queried),
+        ];
         out.push('\n');
+        out.push_str(&explain_process(emitted - start, &stages));
         out.push_str(&result.report.explain());
     }
     Ok(CliRun { rendered: out, report: result.report })
+}
+
+/// The `process` block of `--explain`: wall time of the CLI pipeline and
+/// each stage's share of it.
+fn explain_process(wall: Duration, stages: &[(&str, Duration)]) -> String {
+    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    let wall_ns = nanos(wall);
+    let mut s = format!("process · wall {}\n", fmt_nanos(wall_ns));
+    for (i, (name, d)) in stages.iter().enumerate() {
+        let tee = if i + 1 == stages.len() { "└─" } else { "├─" };
+        let share = 100.0 * nanos(*d) as f64 / wall_ns.max(1) as f64;
+        let _ = writeln!(s, "{tee} {name} · {} · {share:.1}%", fmt_nanos(nanos(*d)));
+    }
+    s
 }
 
 #[cfg(test)]
@@ -196,6 +232,11 @@ mod tests {
     fn explain_flag_appends_the_phase_tree() {
         let a = args(&["x.csv", "--group-by", "country", "--sum", "amount", "--explain"]);
         let run = run_on_csv_text(CSV, &a).unwrap();
+        assert!(run.rendered.contains("process · wall"), "{}", run.rendered);
+        for stage in ["├─ parse · ", "├─ load · ", "├─ query · ", "└─ emit · "]
+        {
+            assert!(run.rendered.contains(stage), "{stage}: {}", run.rendered);
+        }
         assert!(run.rendered.contains("query · wall"), "{}", run.rendered);
         assert!(run.rendered.contains("hash_insert"), "{}", run.rendered);
         assert!(run.rendered.contains("output"), "{}", run.rendered);

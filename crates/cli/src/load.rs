@@ -6,6 +6,7 @@
 //! display). This mirrors how a column store would feed arbitrary keys to
 //! the operator's integer kernels.
 
+use crate::csv::CsvRecords;
 use hsa_columnar::{Dictionary, Table};
 use std::fmt;
 
@@ -44,10 +45,15 @@ impl LoadedTable {
     }
 }
 
-/// Build a [`LoadedTable`] from parsed CSV records (first record =
-/// header).
-pub fn load_table(records: &[Vec<String>]) -> Result<LoadedTable, LoadError> {
-    let header = records.first().cloned().unwrap_or_default();
+/// Build a [`LoadedTable`] from parsed CSV records in one pass over the
+/// field arena.
+///
+/// A column is numeric iff every value passes `v.trim().parse::<u64>()`.
+/// Otherwise the raw fields are dictionary-encoded in order of first
+/// appearance: a column that meets its first non-numeric value is
+/// re-encoded from row 0.
+pub fn load_table(records: &CsvRecords) -> Result<LoadedTable, LoadError> {
+    let header = records.header();
     for (i, name) in header.iter().enumerate() {
         if name.is_empty() {
             return Err(LoadError::EmptyColumnName);
@@ -57,33 +63,58 @@ pub fn load_table(records: &[Vec<String>]) -> Result<LoadedTable, LoadError> {
         }
     }
 
-    let body = &records[1.min(records.len())..];
+    let width = header.len();
+    let n_rows = records.n_rows();
+    let mut cols: Vec<(Vec<u64>, Option<Dictionary>)> =
+        (0..width).map(|_| (Vec::with_capacity(n_rows), None)).collect();
+    let mut i = 0;
+    for _ in 0..n_rows {
+        for (c, (data, dict)) in cols.iter_mut().enumerate() {
+            let v = records.nth(i);
+            i += 1;
+            let code = match dict {
+                Some(d) => d.encode_str(v),
+                None => match parse_u64(v) {
+                    Some(n) => n,
+                    None => {
+                        let d = dict.insert(Dictionary::new());
+                        for (r, slot) in data.iter_mut().enumerate() {
+                            *slot = d.encode_str(records.field(r, c));
+                        }
+                        d.encode_str(v)
+                    }
+                },
+            };
+            data.push(code);
+        }
+    }
+
     let mut table = Table::new();
     let mut dictionaries = Vec::new();
-    for (c, name) in header.iter().enumerate() {
-        let values: Vec<&str> = body.iter().map(|r| r[c].as_str()).collect();
-        let numeric: Option<Vec<u64>> =
-            values.iter().map(|v| v.trim().parse::<u64>().ok()).collect();
-        match numeric {
-            Some(col) => {
-                table.add_column(name.clone(), col);
-            }
-            None => {
-                let mut dict = Dictionary::new();
-                let col: Vec<u64> = values.iter().map(|v| dict.encode_str(v)).collect();
-                table.add_column(name.clone(), col);
-                dictionaries.push((name.clone(), dict));
-            }
+    for (name, (data, dict)) in header.iter().zip(cols) {
+        table.add_column(name.clone(), data);
+        if let Some(d) = dict {
+            dictionaries.push((name.clone(), d));
         }
     }
     Ok(LoadedTable { table, dictionaries })
+}
+
+/// `v.trim().parse::<u64>()`, with a fast path for plain digit strings
+/// short enough that they cannot overflow.
+fn parse_u64(v: &str) -> Option<u64> {
+    let b = v.as_bytes();
+    if !b.is_empty() && b.len() < 20 && b.iter().all(u8::is_ascii_digit) {
+        return Some(b.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')));
+    }
+    v.trim().parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn records(csv: &str) -> Vec<Vec<String>> {
+    fn records(csv: &str) -> CsvRecords {
         crate::parse_csv(csv).unwrap()
     }
 
@@ -108,6 +139,17 @@ mod tests {
         let t = load_table(&records("v\n 1 \n2\n")).unwrap();
         assert!(t.dictionary_of("v").is_none());
         assert_eq!(t.table.col("v"), &[1, 2]);
+    }
+
+    #[test]
+    fn numeric_typing_follows_str_parse() {
+        let t =
+            load_table(&records("a,b\n+5,18446744073709551615\n007,\u{a0}1\u{2003}\n")).unwrap();
+        assert_eq!(t.table.col("a"), &[5, 7]);
+        assert_eq!(t.table.col("b"), &[u64::MAX, 1]);
+        let t = load_table(&records("v\n1\n18446744073709551616\n")).unwrap();
+        let dict = t.dictionary_of("v").unwrap();
+        assert_eq!(dict.decode_str(1), Some("18446744073709551616"));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use hsa_cli::{
     parse_args, parse_serve_args, run_on_csv_text, serve, CliError, ErrorClass, UsageError,
     SERVE_USAGE, USAGE,
 };
+use std::io::Write as _;
 use std::process::ExitCode;
 
 fn fail(e: &CliError) -> ExitCode {
@@ -62,7 +63,11 @@ fn main() -> ExitCode {
         Ok(run) => run,
         Err(e) => return fail(&e),
     };
-    print!("{}", run.rendered);
+    // A closed stdout (`hsa … | head -1`) is an I/O failure, not a panic.
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(run.rendered.as_bytes()).and_then(|()| stdout.flush()) {
+        return fail(&CliError::new(ErrorClass::Io, format!("cannot write output: {e}")));
+    }
     if let Some(path) = &args.stats_json {
         let json = run.report.to_json().to_string_pretty(2);
         if let Err(e) = std::fs::write(path, json) {

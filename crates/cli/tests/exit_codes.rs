@@ -6,7 +6,7 @@
 //! offending flag plus nothing else on stdout).
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn hsa(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hsa")).args(args).output().expect("spawn hsa")
@@ -117,5 +117,25 @@ fn timeout_is_three() {
     let out = hsa(&[csv.to_str().unwrap(), "--group-by", "k", "--timeout-ms", "0"]);
     assert_eq!(code(&out), 3, "stderr: {}", stderr(&out));
     assert!(stderr(&out).starts_with("error: timeout: "), "{}", stderr(&out));
+    let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
+fn closed_stdout_is_io_not_a_panic() {
+    // 20k groups render to ~300 KB, more than a pipe buffers.
+    let csv = write_csv("pipe", 40_000);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hsa"))
+        .args([csv.to_str().unwrap(), "--group-by", "k", "--count", "--sum", "v"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hsa");
+    // Close the only read end before the child writes anything.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for hsa");
+    let err = stderr(&out);
+    assert_eq!(code(&out), 4, "stderr: {err}");
+    assert!(err.starts_with("error: io: cannot write output: "), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     let _ = std::fs::remove_file(&csv);
 }

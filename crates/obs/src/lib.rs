@@ -41,7 +41,7 @@ mod recorder;
 mod trace;
 
 pub use hist::{Histogram, HIST_BUCKETS};
-pub use profile::{Phase, PhaseCell, ProfileTree, PROFILE_LEVELS};
+pub use profile::{fmt_nanos, Phase, PhaseCell, ProfileTree, PROFILE_LEVELS};
 pub use progress::{BudgetProbe, ProgressGauge, ProgressSampler, ProgressSink};
 pub use recorder::{Counter, Hist, MetricsSnapshot, Recorder, WorkerSnapshot};
 pub use trace::{TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};

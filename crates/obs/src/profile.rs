@@ -338,7 +338,9 @@ fn pct(part: u64, total: u64) -> String {
     }
 }
 
-fn fmt_nanos(n: u64) -> String {
+/// A duration in nanoseconds rendered with a unit that keeps it readable
+/// (`ns`, `µs`, `ms` or `s`, two decimals above nanoseconds).
+pub fn fmt_nanos(n: u64) -> String {
     if n >= 1_000_000_000 {
         format!("{:.2} s", n as f64 / 1e9)
     } else if n >= 1_000_000 {

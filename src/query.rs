@@ -310,47 +310,151 @@ impl QueryResult {
 
     /// Render as an aligned text table (used by the CLI); group values can
     /// be remapped to strings via `decode` (e.g. dictionary decoding).
+    /// A thin wrapper over [`QueryResult::write_table`].
     pub fn format_table(&self, decode: impl Fn(usize, u64) -> String) -> String {
-        let headers: Vec<String> = self
-            .group_cols
-            .iter()
-            .map(|(n, _)| n.clone())
-            .chain(self.agg_cols.iter().map(|(n, _)| n.clone()))
-            .collect();
-        let mut rows: Vec<Vec<String>> = Vec::with_capacity(self.n_rows());
-        for (tuple, aggs) in self.sorted_rows() {
-            let mut cells: Vec<String> =
-                tuple.iter().enumerate().map(|(c, &v)| decode(c, v)).collect();
-            for (a, (_, col)) in aggs.iter().zip(&self.agg_cols) {
-                cells.push(match col {
-                    AggValues::U64(_) => format!("{}", *a as u64),
-                    AggValues::F64(_) => format!("{a:.3}"),
-                });
-            }
-            rows.push(cells);
-        }
-        let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
         let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(&format!("{cell:>w$}"));
-            }
-            out.push('\n');
-        };
-        emit(&mut out, &headers);
-        for row in &rows {
-            emit(&mut out, row);
-        }
+        self.write_table(&mut out, |c, v, buf| buf.push_str(&decode(c, v)));
         out
     }
+
+    /// Append the result as an aligned text table to `out`. `cell(c, v,
+    /// buf)` writes the value `v` of grouping column `c` into `buf`.
+    ///
+    /// Rows are ordered by group tuple. A column is as wide as its widest
+    /// cell or header in bytes, and cells are right-aligned to that width
+    /// counted in chars; columns are separated by two spaces. COUNT, SUM,
+    /// MIN and MAX print their exact integer, AVG prints three decimals.
+    pub fn write_table(&self, out: &mut String, mut cell: impl FnMut(usize, u64, &mut String)) {
+        let names: Vec<&str> = self
+            .group_cols
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .chain(self.agg_cols.iter().map(|(n, _)| n.as_str()))
+            .collect();
+        let n_keys = self.group_cols.len();
+        let mut scratch = String::new();
+
+        // Widths, front to back over the columns in result order.
+        let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
+        for (c, (_, vals)) in self.group_cols.iter().enumerate() {
+            for &v in vals {
+                scratch.clear();
+                cell(c, v, &mut scratch);
+                widths[c] = widths[c].max(scratch.len());
+            }
+        }
+        for (w, (_, vals)) in widths[n_keys..].iter_mut().zip(&self.agg_cols) {
+            match vals {
+                AggValues::U64(v) => *w = (*w).max(v.iter().max().map_or(0, |&m| digits(m))),
+                AggValues::F64(v) => {
+                    for &x in v {
+                        scratch.clear();
+                        push_f64(&mut scratch, x);
+                        *w = (*w).max(scratch.len());
+                    }
+                }
+            }
+        }
+
+        // Row order: by the first grouping column, ties broken by the rest
+        // of the tuple.
+        let rest = self.group_cols.get(1..).unwrap_or_default();
+        let mut order: Vec<(u64, usize)> = match self.group_cols.first() {
+            Some((_, first)) => first.iter().copied().zip(0..).collect(),
+            None => Vec::new(),
+        };
+        order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| {
+                rest.iter().map(|(_, v)| v[a.1]).cmp(rest.iter().map(|(_, v)| v[b.1]))
+            })
+        });
+
+        let row_bytes: usize = widths.iter().map(|w| w + 2).sum();
+        out.reserve(row_bytes * (order.len() + 1));
+        for (c, name) in names.iter().enumerate() {
+            push_cell(out, c, name, widths[c]);
+        }
+        out.push('\n');
+        // Rows in sorted blocks. Each block first gathers its values
+        // column by column (AVG as its bit pattern), a loop whose random
+        // reads overlap, instead of stalling on one read per cell while
+        // rendering.
+        let mut block: Vec<u64> = Vec::new();
+        for rows in order.chunks(EMIT_BLOCK_ROWS) {
+            block.clear();
+            for (_, v) in &self.group_cols {
+                block.extend(rows.iter().map(|&(_, r)| v[r]));
+            }
+            for (_, v) in &self.agg_cols {
+                match v {
+                    AggValues::U64(v) => block.extend(rows.iter().map(|&(_, r)| v[r])),
+                    AggValues::F64(v) => block.extend(rows.iter().map(|&(_, r)| v[r].to_bits())),
+                }
+            }
+            for i in 0..rows.len() {
+                for (c, &w) in widths.iter().enumerate() {
+                    let v = block[c * rows.len() + i];
+                    if c < n_keys {
+                        scratch.clear();
+                        cell(c, v, &mut scratch);
+                        push_cell(out, c, &scratch, w);
+                        continue;
+                    }
+                    match &self.agg_cols[c - n_keys].1 {
+                        AggValues::U64(_) => {
+                            // The padding, then the digits themselves.
+                            push_cell(out, c, "", w - digits(v));
+                            push_u64(out, v);
+                        }
+                        AggValues::F64(_) => {
+                            scratch.clear();
+                            push_f64(&mut scratch, f64::from_bits(v));
+                            push_cell(out, c, &scratch, w);
+                        }
+                    }
+                }
+                out.push('\n');
+            }
+        }
+    }
+}
+
+/// Rows per gather block of [`QueryResult::write_table`].
+const EMIT_BLOCK_ROWS: usize = 1024;
+
+/// Append cell `c` of a table row, right-aligned to `width` chars.
+fn push_cell(out: &mut String, c: usize, cell: &str, width: usize) {
+    if c > 0 {
+        out.push_str("  ");
+    }
+    out.extend(std::iter::repeat_n(' ', width.saturating_sub(cell.chars().count())));
+    out.push_str(cell);
+}
+
+/// Number of decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Append an AVG value the way the table prints it.
+fn push_f64(out: &mut String, x: f64) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{x:.3}");
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]
@@ -416,6 +520,29 @@ mod tests {
         assert!(lines[0].contains("store"));
         assert!(lines[0].contains("rows"));
         assert!(lines[1].trim_start().starts_with("s1"));
+    }
+
+    #[test]
+    fn format_table_prints_integers_above_2_pow_53_exactly() {
+        let mut t = Table::new();
+        t.add_column("k", vec![1, 1]).add_column("v", vec![1 << 53, 1]);
+        let r = Query::over(&t).group_by("k").sum("v", "s").max("v", "m").run();
+        let text = r.format_table(|_, v| v.to_string());
+        assert_eq!(
+            text,
+            "k                 s                 m\n1  9007199254740993  9007199254740992\n"
+        );
+    }
+
+    #[test]
+    fn format_table_orders_by_tuple_and_pads_by_chars() {
+        let mut t = Table::new();
+        t.add_column("a", vec![2, 1, 1, 2]).add_column("b", vec![0, 5, 3, 0]);
+        let r = Query::over(&t).group_by("a").group_by("b").count("n").avg("b", "avg").run();
+        let text = r.format_table(|c, v| if c == 0 { format!("é{v}") } else { v.to_string() });
+        // "é1" is 3 bytes wide but 2 chars: padded by one space to 3 chars.
+        let expected = "  a  b  n    avg\n é1  3  1  3.000\n é1  5  1  5.000\n é2  0  2  0.000\n";
+        assert_eq!(text, expected);
     }
 
     #[test]
